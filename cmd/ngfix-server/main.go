@@ -512,7 +512,7 @@ func run(args []string) int {
 	// have swapped both since startup.
 	finalGroup := s.Group()
 	finalStores := s.Stores()
-	if rep, err := finalGroup.FixPendingChecked(); err != nil {
+	if rep, err := finalGroup.FixPending(); err != nil {
 		log.Printf("final fix: %v", err)
 	} else if rep.Queries > 0 {
 		log.Printf("final fix: %d queries, +%d edges", rep.Queries, rep.NGFixEdges+rep.RFixEdges)

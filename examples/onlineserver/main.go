@@ -59,7 +59,7 @@ func main() {
 	}
 
 	fmt.Printf("recall@10 before any traffic:        %.3f\n", recallNow())
-	fixer.FixPending() // discard the measurement queries
+	_, _ = fixer.FixPending(0) // discard the measurement queries; no WAL, so no error
 
 	// Production traffic arrives...
 	for qi := 0; qi < d.History.Rows(); qi++ {

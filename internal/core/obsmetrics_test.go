@@ -20,7 +20,7 @@ func TestOnlineFixerMetrics(t *testing.T) {
 	for qi := 0; qi < searches; qi++ {
 		o.Search(d.History.Row(qi), 10, 20)
 	}
-	rep := o.FixPending()
+	rep, _ := o.FixPending(0)
 	if rep.Queries != searches {
 		t.Fatalf("fixed %d queries, want %d", rep.Queries, searches)
 	}

@@ -140,7 +140,7 @@ type WAL interface {
 // durability sink.
 var ErrNoWAL = errors.New("core: online fixer has no WAL configured")
 
-// ErrUnknownID is returned by DeleteChecked for an id the index has never
+// ErrUnknownID is returned by Delete for an id the index has never
 // assigned.
 var ErrUnknownID = errors.New("core: id out of range")
 
@@ -301,7 +301,7 @@ func (o *OnlineFixer) SearchCtx(ctx context.Context, q []float32, k, ef int) ([]
 	runNow := o.autoFix && o.pending.Rows() >= o.batchSize
 	o.qmu.Unlock()
 	if runNow {
-		o.FixPending()
+		o.FixPending(0) // durability errors are already in the WAL counters
 	}
 	return res, st
 }
@@ -463,38 +463,27 @@ func (o *OnlineFixer) Degraded() bool {
 	return o.lastWALErr != nil
 }
 
-// FixPending drains the recorded queries and repairs the graph with them.
-// Preprocessing (approximate truth) runs under the read lock so searches
-// continue; the graph mutation itself takes the write lock. It returns
-// the fix report (zero-value when there was nothing to do). Durability
-// errors are absorbed into the WAL counters; use FixPendingChecked to
-// observe them.
-func (o *OnlineFixer) FixPending() FixReport {
-	rep, _ := o.FixPendingChecked()
-	return rep
-}
-
-// FixPendingChecked is FixPending with the durability error surfaced: the
-// graph repair itself either fully applies or panics, but journaling the
-// batch can fail independently, and background loops want to know so they
-// can back off and retry.
-func (o *OnlineFixer) FixPendingChecked() (FixReport, error) {
-	return o.FixPendingLimitChecked(0)
-}
-
 // ewmaAlpha weights the newest batch's unreachable-before rate in the
 // smoothed navigability signal: high enough that one bursty-churn batch
 // moves the needle, low enough that one outlier batch does not flap a
 // trigger with hysteresis around it.
 const ewmaAlpha = 0.3
 
-// FixPendingLimitChecked is FixPendingChecked with a batch cap: at most
-// max recorded queries are drained (oldest first — they are the ones the
-// full buffer would shed next) and the rest stay pending for a later
-// batch. max <= 0 drains everything. This is the graceful-degradation
-// path of the adaptive repair controller: under admission saturation it
-// shrinks batches instead of stopping repair entirely.
-func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
+// FixPending drains the recorded queries and repairs the graph with them.
+// Preprocessing (approximate truth) runs under the read lock so searches
+// continue; the graph mutation itself takes the write lock. It returns
+// the fix report (zero-value when there was nothing to do).
+//
+// At most max recorded queries are drained (oldest first — they are the
+// ones the full buffer would shed next) and the rest stay pending for a
+// later batch; max <= 0 drains everything. The cap is the
+// graceful-degradation path of the adaptive repair controller: under
+// admission saturation it shrinks batches instead of stopping repair.
+//
+// The graph repair itself either fully applies or panics, but journaling
+// the batch can fail independently: the error reports that, so
+// background loops can back off and retry.
+func (o *OnlineFixer) FixPending(max int) (FixReport, error) {
 	o.qmu.Lock()
 	var batch *vec.Matrix
 	rows := o.pending.Rows()
@@ -565,18 +554,10 @@ func (o *OnlineFixer) FixPendingLimitChecked(max int) (FixReport, error) {
 	return rep, err
 }
 
-// Insert adds a base vector (write lock) and journals it, absorbing any
-// durability error into the WAL counters. Use InsertChecked to observe
-// the error.
-func (o *OnlineFixer) Insert(v []float32) uint32 {
-	id, _ := o.InsertChecked(v)
-	return id
-}
-
-// InsertChecked is Insert with the durability error surfaced: a non-nil
-// error means the vector is live in memory but its journal append failed,
-// so it may not survive a crash until the next successful snapshot.
-func (o *OnlineFixer) InsertChecked(v []float32) (uint32, error) {
+// Insert adds a base vector (write lock) and journals it. A non-nil error
+// means the vector is live in memory but its journal append failed, so it
+// may not survive a crash until the next successful snapshot.
+func (o *OnlineFixer) Insert(v []float32) (uint32, error) {
 	o.pmu.Lock()
 	defer o.pmu.Unlock()
 	o.mu.Lock()
@@ -605,21 +586,13 @@ func (o *OnlineFixer) InsertChecked(v []float32) (uint32, error) {
 	return id, err
 }
 
-// Delete tombstones a vector (write lock) and journals it, absorbing any
-// durability error. It reports false for both an already-deleted and an
-// out-of-range id; use DeleteChecked to tell them apart.
-func (o *OnlineFixer) Delete(id uint32) bool {
-	changed, _ := o.DeleteChecked(id)
-	return changed
-}
-
-// DeleteChecked is Delete with failures surfaced. The range check runs
-// under the fixer's write lock (handlers must not read graph bounds
-// unlocked): an id the index never assigned returns ErrUnknownID. Any
-// other non-nil error is a journal-append failure — the tombstone is live
-// in memory but may not survive a crash until the next successful
-// snapshot.
-func (o *OnlineFixer) DeleteChecked(id uint32) (bool, error) {
+// Delete tombstones a vector (write lock) and journals it, reporting
+// whether the vector was live. The range check runs under the fixer's
+// write lock (handlers must not read graph bounds unlocked): an id the
+// index never assigned returns ErrUnknownID. Any other non-nil error is a
+// journal-append failure — the tombstone is live in memory but may not
+// survive a crash until the next successful snapshot.
+func (o *OnlineFixer) Delete(id uint32) (bool, error) {
 	o.pmu.Lock()
 	defer o.pmu.Unlock()
 	o.mu.Lock()
@@ -791,7 +764,7 @@ func (o *OnlineFixer) fixSafely() (rep FixReport, err error) {
 			err = fmt.Errorf("fix batch panicked: %v", r)
 		}
 	}()
-	return o.FixPendingChecked()
+	return o.FixPending(0)
 }
 
 // BackoffDelay returns the retry delay after `fails` consecutive

@@ -30,7 +30,7 @@ func TestOnlineFixerBatching(t *testing.T) {
 	if got := o.Pending(); got != 5 {
 		t.Fatalf("Pending = %d, want 5", got)
 	}
-	rep := o.FixPending()
+	rep, _ := o.FixPending(0)
 	if rep.Queries != 5 {
 		t.Fatalf("fixed %d queries, want 5", rep.Queries)
 	}
@@ -42,7 +42,7 @@ func TestOnlineFixerBatching(t *testing.T) {
 		t.Fatalf("Stats = %d,%d", fixed, batches)
 	}
 	// Empty drain is a no-op.
-	if rep := o.FixPending(); rep.Queries != 0 {
+	if rep, _ := o.FixPending(0); rep.Queries != 0 {
 		t.Fatal("empty FixPending did work")
 	}
 }
@@ -81,11 +81,11 @@ func TestOnlineFixerImprovesLiveWorkload(t *testing.T) {
 	before := recallNow()
 	// Reset the buffer (the measurement itself recorded queries — drain
 	// them away so the fix uses only the history stream).
-	o.FixPending()
+	o.FixPending(0)
 	for qi := 0; qi < d.History.Rows(); qi++ {
 		o.Search(d.History.Row(qi), 10, 15)
 	}
-	o.FixPending()
+	o.FixPending(0)
 	after := recallNow()
 	if after <= before {
 		t.Fatalf("online fixing did not improve live recall: %.3f -> %.3f", before, after)
@@ -131,7 +131,7 @@ func TestOnlineFixerConcurrency(t *testing.T) {
 		for qi := 0; qi < 30; qi++ {
 			o.Search(d.History.Row((round*30+qi)%d.History.Rows()), 5, 15)
 		}
-		o.FixPending()
+		o.FixPending(0)
 	}
 	o.Insert(d.History.Row(0))
 	o.Delete(3)
@@ -247,16 +247,16 @@ func TestOnlineFixerJournalsToWAL(t *testing.T) {
 
 	v := append([]float32(nil), d.History.Row(0)...)
 	o.Insert(v)
-	if !o.Delete(5) {
+	if changed, _ := o.Delete(5); !changed {
 		t.Fatal("delete failed")
 	}
-	if o.Delete(5) {
+	if changed, _ := o.Delete(5); changed {
 		t.Fatal("double delete reported a change")
 	}
 	for qi := 0; qi < 20; qi++ {
 		o.Search(d.History.Row(qi), 10, 15)
 	}
-	rep := o.FixPending()
+	rep, _ := o.FixPending(0)
 	if rep.NGFixEdges+rep.RFixEdges == 0 {
 		t.Fatal("fix batch added no edges; workload too easy to test journaling")
 	}
@@ -302,7 +302,7 @@ func TestOnlineFixerJournalsToWAL(t *testing.T) {
 	// WAL failures are absorbed, not propagated to serving.
 	wal.fail = errTestWAL
 	o.Insert(v)
-	if !o.Delete(7) {
+	if changed, _ := o.Delete(7); !changed {
 		t.Fatal("delete refused while WAL failing")
 	}
 	st := o.OnlineStats()
@@ -327,22 +327,22 @@ func TestDurabilityDegradationAndRecovery(t *testing.T) {
 	}
 	// Range checks live behind the fixer's lock now: an unknown id is a
 	// checked error, not a panic, and never reaches the WAL.
-	if _, err := o.DeleteChecked(uint32(g.Len())); !errors.Is(err, ErrUnknownID) {
+	if _, err := o.Delete(uint32(g.Len())); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("out-of-range delete error = %v, want ErrUnknownID", err)
 	}
-	if o.Delete(99999) {
+	if changed, _ := o.Delete(99999); changed {
 		t.Fatal("out-of-range Delete reported a change")
 	}
 
 	wal.fail = errTestWAL
 	v := append([]float32(nil), d.History.Row(0)...)
-	if _, err := o.InsertChecked(v); err == nil {
+	if _, err := o.Insert(v); err == nil {
 		t.Fatal("insert with failing WAL acknowledged durability")
 	}
 	if !o.Degraded() {
 		t.Fatal("failed journal append did not degrade durability")
 	}
-	if changed, err := o.DeleteChecked(5); !changed || err == nil {
+	if changed, err := o.Delete(5); !changed || err == nil {
 		t.Fatalf("delete with failing WAL: changed=%v err=%v, want applied with error", changed, err)
 	}
 	if err := o.Snapshot(); err == nil {

@@ -62,7 +62,7 @@ func TestEnablePQServesCompressed(t *testing.T) {
 
 	// Tombstones must stay navigable but never surface.
 	del := gt[1][0].ID
-	if !fused.Delete(del) {
+	if changed, _ := fused.Delete(del); !changed {
 		t.Fatal("delete failed")
 	}
 	res, _ := fused.Search(d.TestOOD.Row(1), k, ef)
@@ -85,7 +85,7 @@ func TestPQInsertEncodesIncrementally(t *testing.T) {
 	before, _ := o.PQStats()
 
 	v := d.TestOOD.Row(3)
-	id, err := o.InsertChecked(v)
+	id, err := o.Insert(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPQFixesOnCompressedGraph(t *testing.T) {
 		o.Search(d.History.Row(qi), 10, 30)
 	}
 	mid, _ := o.PQStats()
-	rep := o.FixPending()
+	rep, _ := o.FixPending(0)
 	if rep.Queries != 30 {
 		t.Fatalf("fixed %d queries, want 30", rep.Queries)
 	}
@@ -237,7 +237,7 @@ func TestPQTierRerank(t *testing.T) {
 	}
 
 	v := d.TestOOD.Row(7)
-	id, err := o.InsertChecked(v)
+	id, err := o.Insert(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestSignalsSnapshot(t *testing.T) {
 		t.Fatalf("after overrun: pending=%d shed=%d, want 4 and 2", sig.Pending, sig.Shed)
 	}
 
-	o.FixPending()
+	o.FixPending(0)
 	sig = o.Signals()
 	if sig.Pending != 0 || sig.Batches != 1 {
 		t.Fatalf("after fix: pending=%d batches=%d, want 0 and 1", sig.Pending, sig.Batches)
@@ -113,7 +113,7 @@ func TestUnreachableEWMASmoothing(t *testing.T) {
 	o := NewOnlineFixer(ix, OnlineConfig{BatchSize: 50})
 
 	o.Search(q, 10, 20)
-	rep1 := o.FixPending()
+	rep1, _ := o.FixPending(0)
 	if rep1.Queries != 1 || rep1.RFixTriggered != 1 {
 		t.Fatalf("batch 1: queries=%d triggered=%d, want the trap to fire (1 and 1)", rep1.Queries, rep1.RFixTriggered)
 	}
@@ -127,7 +127,7 @@ func TestUnreachableEWMASmoothing(t *testing.T) {
 	// Same query again: the InfEH shortcut edges RFix just added make the
 	// vicinity reachable, so the batch rate drops to 0.
 	o.Search(q, 10, 20)
-	rep2 := o.FixPending()
+	rep2, _ := o.FixPending(0)
 	if rep2.Queries != 1 || rep2.RFixTriggered != 0 {
 		t.Fatalf("batch 2: queries=%d triggered=%d, want repaired (1 and 0)", rep2.Queries, rep2.RFixTriggered)
 	}
@@ -148,7 +148,7 @@ func TestFixPendingLimitDrainsOldestFirst(t *testing.T) {
 	for qi := 0; qi < 10; qi++ {
 		o.Search(d.History.Row(qi), 5, 15)
 	}
-	rep, err := o.FixPendingLimitChecked(4)
+	rep, err := o.FixPending(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFixPendingLimitDrainsOldestFirst(t *testing.T) {
 	}
 
 	// A limit at or above the depth is a full drain, like limit 0.
-	rep, err = o.FixPendingLimitChecked(100)
+	rep, err = o.FixPending(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFixPendingLimitDrainsOldestFirst(t *testing.T) {
 		t.Fatalf("full drain via large limit: queries=%d pending=%d", rep.Queries, o.Pending())
 	}
 	// Empty buffer: no work, no error, regardless of limit.
-	if rep, err := o.FixPendingLimitChecked(3); err != nil || rep.Queries != 0 {
+	if rep, err := o.FixPending(3); err != nil || rep.Queries != 0 {
 		t.Fatalf("empty limited fix: rep=%+v err=%v", rep, err)
 	}
 }

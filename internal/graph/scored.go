@@ -3,18 +3,17 @@ package graph
 import (
 	"context"
 
-	"ngfix/internal/minheap"
+	"ngfix/internal/vec"
 )
 
-// Scorer is the compressed scoring seam: a drop-in replacement for the
-// full-precision vec.QueryDistancer in the beam-search hot loop. A Scorer
-// is prepared once per query (e.g. a PQ ADC lookup table) and then scores
-// gathered neighbor batches without touching the full vectors — the same
-// batch shape the SIMD kernels stream, but over bytes instead of floats.
+// Scorer is the scoring seam of the beam loop. A Scorer is prepared once
+// per query (full-precision distances, or e.g. a PQ ADC lookup table) and
+// then scores gathered neighbor batches — the same batch shape the SIMD
+// kernels stream, over floats or over code bytes.
 //
 // Scores must be comparable to each other (smaller is closer) but need
 // not equal the metric's true distances; searches that navigate on a
-// Scorer rerank their final candidates exactly.
+// compressed Scorer rerank their final candidates exactly.
 type Scorer interface {
 	// ScoreIDs writes the score of vertex ids[i] into out[i]; out has at
 	// least len(ids) entries.
@@ -23,112 +22,31 @@ type Scorer interface {
 	ScoreID(id uint32) float32
 }
 
-// SearchScoredPoolCtx runs the SearchFromCtx beam with candidate scoring
-// delegated to sc, collecting every live vertex it scores into a bounded
-// pool of size pool. It returns the pool's contents in ascending score
-// order — the compressed-domain best candidates, ready for exact
-// reranking by the caller — and stats counting the scoring work in
-// Stats.ADCLookups (Stats.NDC stays zero: no full-precision distance is
-// evaluated here).
-//
-// The beam itself is bounded at L: the exit check compares the closest
-// unexpanded candidate against the L-th best score, exactly as the
-// full-precision beam does, so L buys the same navigation/quality
-// trade-off in both domains. The pool is deliberately separate — a pool
-// larger than L must not widen the beam, and a pool smaller than L must
-// not cut the search short.
-//
-// ctx (nil means never cancelled) is polled every cancelCheckEvery hop
-// expansions, setting Stats.Truncated on cancellation, matching the
-// full-precision path's overload contract.
+// fullScorer is the full-precision Scorer: the metric's true distances
+// through a prepared vec.QueryDistancer.
+type fullScorer struct {
+	qd vec.QueryDistancer
+	m  *vec.Matrix
+}
+
+func (f *fullScorer) ScoreID(id uint32) float32 { return f.qd.RowDistance(f.m, id) }
+
+func (f *fullScorer) ScoreIDs(ids []uint32, out []float32) { f.qd.RowDistances(f.m, ids, out) }
+
+// SearchScoredPoolCtx runs the beam with scoring delegated to sc, bounded
+// at L exactly as the full-precision search is, so L buys the same
+// navigation/quality trade-off in both domains. Every live vertex it
+// scores is collected into a separate bounded pool of size pool, returned
+// in ascending score order — the compressed-domain best candidates, ready
+// for exact reranking by the caller. Stats.ADCLookups counts the scoring
+// work (Stats.NDC stays zero: no full-precision distance is evaluated
+// here). ctx is polled as in SearchFromCtx.
 func (s *Searcher) SearchScoredPoolCtx(ctx context.Context, sc Scorer, L, pool int, entry uint32) ([]Result, Stats) {
-	g := s.g
-	if g.Len() == 0 {
+	if s.g.Len() == 0 {
 		return nil, Stats{}
 	}
-	if L < 1 {
-		L = 1
-	}
-	if pool < 1 {
-		pool = 1
-	}
-	var st Stats
-	s.visited.Grow(g.Len())
-	s.visited.Reset()
-	s.cand.Reset()
-	s.results.Reset(L)
-	if s.pool == nil {
-		s.pool = minheap.NewBounded(pool)
-	} else {
-		s.pool.Reset(pool)
-	}
-
-	entryDist := sc.ScoreID(entry)
-	st.ADCLookups++
-	s.visited.Visit(entry)
-	s.cand.Push(minheap.Item{ID: entry, Dist: entryDist})
-	if !g.deleted[entry] {
-		s.results.Push(minheap.Item{ID: entry, Dist: entryDist})
-		s.pool.Push(minheap.Item{ID: entry, Dist: entryDist})
-	}
-
-	for s.cand.Len() > 0 {
-		if ctx != nil && st.Hops%cancelCheckEvery == 0 && ctx.Err() != nil {
-			st.Truncated = true
-			break
-		}
-		cur := s.cand.Pop()
-		if worst, ok := s.results.MaxDist(); ok && s.results.Full() && cur.Dist > worst {
-			break
-		}
-		st.Hops++
-
-		// Same batched shape as the full-precision loop: gather the
-		// unvisited neighbors, score the whole batch in one call, then do
-		// heap admission in gather order.
-		ids := s.gatherIDs[:0]
-		for _, v := range g.base[cur.ID] {
-			if !s.visited.Visit(v) {
-				ids = append(ids, v)
-			}
-		}
-		for _, e := range g.extra[cur.ID] {
-			if !s.visited.Visit(e.To) {
-				ids = append(ids, e.To)
-			}
-		}
-		s.gatherIDs = ids
-		if len(ids) == 0 {
-			continue
-		}
-		if cap(s.gatherD) < len(ids) {
-			s.gatherD = make([]float32, len(ids)+16)
-		}
-		dists := s.gatherD[:len(ids)]
-		sc.ScoreIDs(ids, dists)
-		st.ADCLookups += int64(len(ids))
-
-		for i, v := range ids {
-			d := dists[i]
-			if !g.deleted[v] {
-				// Every live scored vertex is a rerank candidate, whether or
-				// not it makes the beam: the pool sees strictly more of the
-				// compressed ranking than the beam retains.
-				s.pool.Push(minheap.Item{ID: v, Dist: d})
-			}
-			if s.results.WouldAccept(d) {
-				s.cand.Push(minheap.Item{ID: v, Dist: d})
-				if !g.deleted[v] {
-					s.results.Push(minheap.Item{ID: v, Dist: d})
-				}
-			}
-		}
-	}
-
-	items := s.pool.SortedAscending()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{ID: it.ID, Dist: it.Dist}
-	}
-	return out, st
+	pool = max(pool, 1)
+	st, scored := s.beam(ctx, sc, L, pool, entry)
+	st.ADCLookups = scored
+	return sortedResults(s.pool, pool), st
 }

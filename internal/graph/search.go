@@ -43,16 +43,20 @@ type Searcher struct {
 	cand    *minheap.Min
 	results *minheap.Bounded
 
-	// pool collects every live scored vertex during a scored search (the
-	// compressed seam's rerank candidates); nil until the first scored
+	// pool collects every live scored vertex during a pooled search (the
+	// compressed seam's rerank candidates); nil until the first pooled
 	// search asks for one.
 	pool *minheap.Bounded
 
+	// full is the full-precision Scorer, prepared per search in place so
+	// handing it to the beam as an interface allocates nothing.
+	full fullScorer
+
 	// gatherIDs/gatherD are the batched-scoring scratch: per hop, the
 	// unvisited neighbors of the expanded vertex are gathered into
-	// gatherIDs and scored with one vec batch call into gatherD before
-	// heap admission. Sized to the largest out-degree seen, reused across
-	// hops and searches.
+	// gatherIDs and scored with one batch call into gatherD before heap
+	// admission. Sized to the largest out-degree seen, reused across hops
+	// and searches.
 	gatherIDs []uint32
 	gatherD   []float32
 
@@ -91,11 +95,10 @@ func (s *Searcher) SearchFrom(q []float32, k, L int, entry uint32) ([]Result, St
 	return s.SearchFromCtx(nil, q, k, L, entry)
 }
 
-// SearchFromCtx is the paper's Algorithm 1 (greedy / beam search) with
-// cooperative cancellation: a candidate min-heap seeded with the entry
-// point, a bounded result set of size L; each step expands the closest
-// unexpanded candidate and stops when that candidate is farther than the
-// worst result.
+// SearchFromCtx is the paper's Algorithm 1 (greedy / beam search) over
+// full-precision distances with cooperative cancellation, returning the k
+// closest live vertices found with search-list size L (clamped up to k).
+// Stats.NDC counts the distance evaluations.
 //
 // ctx (nil means never cancelled) is polled every cancelCheckEvery hop
 // expansions; when it is cancelled or past its deadline the search stops
@@ -103,32 +106,60 @@ func (s *Searcher) SearchFrom(q []float32, k, L int, entry uint32) ([]Result, St
 // Stats.Truncated set — a client that disconnects or a server budget that
 // expires costs at most a few more hops, never a full search.
 func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, entry uint32) ([]Result, Stats) {
-	g := s.g
-	if g.Len() == 0 {
+	if s.g.Len() == 0 {
 		return nil, Stats{}
 	}
 	if L < k {
 		L = k
 	}
-	var st Stats
-	s.visited.Grow(g.Len())
+	// The distancer is prepared once per search: metric dispatch and (for
+	// cosine) the query norm are hoisted out of the loop, and the graph's
+	// row-norm cache kills the per-evaluation row-norm recomputation.
+	s.full = fullScorer{qd: vec.NewQueryDistancer(s.g.Metric, q, s.g.norms), m: s.g.Vectors}
+	st, scored := s.beam(ctx, &s.full, L, 0, entry)
+	st.NDC = scored
+	return sortedResults(s.results, k), st
+}
+
+// beam is the one Algorithm 1 loop every search runs: a candidate
+// min-heap seeded with entry, a bounded result set of size L; each step
+// expands the closest unexpanded candidate and stops when that candidate
+// is farther than the worst result. sc scores vertices. A positive pool
+// also collects every live scored vertex into s.pool, bounded at pool —
+// the rerank candidates of a compressed search. The two bounds are
+// independent: a pool larger than L must not widen the beam, and one
+// smaller than L must not cut the search short. L and pool are clamped
+// to the graph size, beyond which a list cannot grow. It returns hops and
+// truncation in st and the number of vertices scored, which the caller
+// books as NDC or ADC lookups.
+func (s *Searcher) beam(ctx context.Context, sc Scorer, L, pool int, entry uint32) (st Stats, scored int64) {
+	g := s.g
+	n := g.Len()
+	L = max(1, min(L, n))
+	s.visited.Grow(n)
 	s.visited.Reset()
 	s.cand.Reset()
 	s.results.Reset(L)
+	var rerank *minheap.Bounded
+	if pool > 0 {
+		pool = min(pool, n)
+		if s.pool == nil {
+			s.pool = minheap.NewBounded(pool)
+		} else {
+			s.pool.Reset(pool)
+		}
+		rerank = s.pool
+	}
 	if s.CollectVisited {
 		s.Visited = s.Visited[:0]
 	}
 
 	// Tombstoned vertices follow the paper's lazy-delete semantics: they
-	// are navigated through (candidate heap) but never occupy a result
-	// slot, so heavy tombstoning cannot crowd live answers out of the
+	// are navigated through (candidate heap) but never occupy a result or
+	// pool slot, so heavy tombstoning cannot crowd live answers out of the
 	// search list.
-	//
-	// The distancer is prepared once per search: metric dispatch and (for
-	// cosine) the query norm are hoisted out of the loop, and the graph's
-	// row-norm cache kills the per-evaluation row-norm recomputation.
-	qd := vec.NewQueryDistancer(g.Metric, q, g.norms)
-	entryDist := qd.RowDistance(g.Vectors, entry)
+	entryDist := sc.ScoreID(entry)
+	scored++
 	s.visited.Visit(entry)
 	if s.CollectVisited {
 		s.Visited = append(s.Visited, Result{ID: entry, Dist: entryDist})
@@ -136,6 +167,9 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 	s.cand.Push(minheap.Item{ID: entry, Dist: entryDist})
 	if !g.deleted[entry] {
 		s.results.Push(minheap.Item{ID: entry, Dist: entryDist})
+		if rerank != nil {
+			rerank.Push(minheap.Item{ID: entry, Dist: entryDist})
+		}
 	}
 
 	for s.cand.Len() > 0 {
@@ -150,13 +184,13 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 		st.Hops++
 
 		// Score in batches: gather the unvisited neighbors of the expanded
-		// vertex (base + extra edges), score them with one batch kernel
-		// call — a linear scan over row-major memory — then do heap
-		// admission in gather order. Admission order, visited semantics,
-		// and NDC are identical to evaluating one neighbor at a time: the
-		// only difference is that distances whose WouldAccept check fails
-		// are computed before the check instead of inline, and the seed
-		// loop computed those distances too.
+		// vertex (base + extra edges), score them with one batch call — a
+		// linear scan over row-major memory — then do heap admission in
+		// gather order. Admission order, visited semantics, and the scored
+		// count are identical to evaluating one neighbor at a time: the
+		// only difference is that scores whose WouldAccept check fails are
+		// computed before the check instead of inline, and the seed loop
+		// computed those scores too.
 		ids := s.gatherIDs[:0]
 		for _, v := range g.base[cur.ID] {
 			if !s.visited.Visit(v) {
@@ -176,12 +210,19 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 			s.gatherD = make([]float32, len(ids)+16)
 		}
 		dists := s.gatherD[:len(ids)]
-		qd.RowDistances(g.Vectors, ids, dists)
+		sc.ScoreIDs(ids, dists)
+		scored += int64(len(ids))
 
 		for i, v := range ids {
 			d := dists[i]
 			if s.CollectVisited {
 				s.Visited = append(s.Visited, Result{ID: v, Dist: d})
+			}
+			if rerank != nil && !g.deleted[v] {
+				// Every live scored vertex is a rerank candidate, whether or
+				// not it makes the beam: the pool sees strictly more of the
+				// compressed ranking than the beam retains.
+				rerank.Push(minheap.Item{ID: v, Dist: d})
 			}
 			if s.results.WouldAccept(d) {
 				s.cand.Push(minheap.Item{ID: v, Dist: d})
@@ -191,9 +232,12 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 			}
 		}
 	}
-	st.NDC = qd.Count
+	return st, scored
+}
 
-	items := s.results.SortedAscending()
+// sortedResults drains h in ascending order, keeping at most k results.
+func sortedResults(h *minheap.Bounded, k int) []Result {
+	items := h.SortedAscending()
 	if len(items) > k {
 		items = items[:k]
 	}
@@ -201,7 +245,7 @@ func (s *Searcher) SearchFromCtx(ctx context.Context, q []float32, k, L int, ent
 	for i, it := range items {
 		out[i] = Result{ID: it.ID, Dist: it.Dist}
 	}
-	return out, st
+	return out
 }
 
 // IDs extracts the vertex ids from results.

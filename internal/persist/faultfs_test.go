@@ -398,7 +398,7 @@ func TestFixerCrashRecoveryEquality(t *testing.T) {
 			}
 			fixer.Search(q, 5, 20)
 		}
-		if rep, err := fixer.FixPendingChecked(); err != nil {
+		if rep, err := fixer.FixPending(0); err != nil {
 			t.Fatal(err)
 		} else if rep.Queries == 0 {
 			t.Fatal("fix batch processed no queries")
@@ -448,11 +448,11 @@ func TestFixerDegradesWhenWALDies(t *testing.T) {
 	liveLen := ix.G.Len()
 
 	ffs.dead = true // disk yanked
-	id := fixer.Insert([]float32{6, 5, 4, 3, 2, 1})
+	id, _ := fixer.Insert([]float32{6, 5, 4, 3, 2, 1})
 	if int(id) != liveLen {
 		t.Fatalf("insert refused after WAL death: id %d", id)
 	}
-	if !fixer.Delete(3) {
+	if changed, _ := fixer.Delete(3); !changed {
 		t.Fatal("delete refused after WAL death")
 	}
 	if res, _ := fixer.Search(v, 3, 16); len(res) == 0 {

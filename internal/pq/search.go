@@ -105,7 +105,8 @@ func (s *GraphSearcher) SearchCtx(ctx context.Context, query []float32, k, ef in
 	if s.Tier != nil {
 		rowOf = s.Tier.Row
 	}
-	reranked := minheap.NewBounded(k)
+	// The heap never outgrows the pool it reranks: k is client-sized.
+	reranked := minheap.NewBounded(max(1, min(k, len(pool))))
 	for _, it := range pool {
 		d := g.Metric.Distance(query, rowOf(int(it.ID)))
 		st.NDC++

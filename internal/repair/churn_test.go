@@ -136,7 +136,7 @@ func TestAdaptiveOutpacesFixedCadenceUnderChurn(t *testing.T) {
 	for tb+interval <= horizon {
 		tb += interval
 		deliver(fb, qb, &delivB, tb)
-		fb.FixPending()
+		fb.FixPending(0)
 	}
 	deliver(fb, qb, &delivB, horizon)
 

@@ -444,7 +444,7 @@ func (c *Controller) fixSafely(limit int) (rep core.FixReport, err error) {
 			err = fmt.Errorf("fix batch panicked: %v", r)
 		}
 	}()
-	return c.fixer.FixPendingLimitChecked(limit)
+	return c.fixer.FixPending(limit)
 }
 
 // note runs fn under the controller mutex.

@@ -520,4 +520,14 @@ func (r *Replica) Dim() int {
 	return r.ix.G.Dim()
 }
 
+// Len returns the served index's vector count (0 before bootstrap).
+func (r *Replica) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.ix == nil {
+		return 0
+	}
+	return r.ix.G.Len()
+}
+
 func decodeJSON(rd io.Reader, v interface{}) error { return json.NewDecoder(rd).Decode(v) }

@@ -56,17 +56,17 @@ func newLeader(t *testing.T, dir string) *leader {
 func (l *leader) mutate(t *testing.T, seed int) {
 	t.Helper()
 	for i := 0; i < 5; i++ {
-		if _, err := l.fx.InsertChecked(l.d.History.Row((seed + i) % l.d.History.Rows())); err != nil {
+		if _, err := l.fx.Insert(l.d.History.Row((seed + i) % l.d.History.Rows())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := l.fx.DeleteChecked(uint32(seed % 50)); err != nil {
+	if _, err := l.fx.Delete(uint32(seed % 50)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		l.fx.Search(l.d.TestOOD.Row((seed+i)%l.d.TestOOD.Rows()), 10, 40)
 	}
-	if _, err := l.fx.FixPendingChecked(); err != nil {
+	if _, err := l.fx.FixPending(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +265,7 @@ func TestSetScatterMatchesGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := g.InsertChecked(d.History.Row(i)); err != nil {
+		if _, err := g.Insert(d.History.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"runtime/debug"
 
 	"ngfix/internal/obs"
 	"ngfix/internal/replica"
@@ -22,7 +19,10 @@ import (
 //
 // Mutations have no route here (404): a follower's state is the
 // leader's WAL, nothing else, which is what keeps it bit-identical and
-// makes failing over to it safe.
+// makes failing over to it safe. Everything the two servers share —
+// middleware, decoding, k/ef validation, JSON writers, /healthz and
+// /metrics serving — is the leader's own code; only the backend, the
+// stale flag, /v1/stats and /readyz differ.
 //
 //	POST /v1/search   — read-only scatter over the shard replicas
 //	GET  /v1/stats    — per-shard replica status (generation, lag, errors)
@@ -31,27 +31,24 @@ import (
 //	                    within its configured lag bound
 //	GET  /metrics     — ngfix_replica_* families, shard-labeled
 type Follower struct {
-	set *replica.Set
-	mux *http.ServeMux
-	// DefaultK / DefaultEF apply when a search request omits them.
-	DefaultK, DefaultEF int
-	// Logger receives malformed-response incidents and handler panics.
-	Logger *log.Logger
-	// MaxBodyBytes caps request bodies (DefaultMaxBodyBytes when 0).
-	MaxBodyBytes int64
-
+	// front carries the plumbing shared with the leader and the
+	// DefaultK, DefaultEF, Logger and MaxBodyBytes settings.
+	front
+	set         *replica.Set
 	metricsRegs []*obs.Registry
 }
 
 // NewFollower builds a follower server over a replica set. The caller
 // drives the set (Set.Run) separately.
 func NewFollower(set *replica.Set) *Follower {
-	f := &Follower{set: set, mux: http.NewServeMux(), DefaultK: 10, DefaultEF: 100}
+	f := &Follower{front: newFront(), set: set}
 	f.mux.HandleFunc("/v1/search", f.method(http.MethodPost, f.handleSearch))
 	f.mux.HandleFunc("/v1/stats", f.method(http.MethodGet, f.handleStats))
 	f.mux.HandleFunc("/healthz", f.method(http.MethodGet, f.handleHealthz))
 	f.mux.HandleFunc("/readyz", f.method(http.MethodGet, f.handleReadyz))
-	f.mux.HandleFunc("/metrics", f.method(http.MethodGet, f.handleMetrics))
+	f.mux.HandleFunc("/metrics", f.method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		f.serveMetrics(w, r, f.metricsRegs)
+	}))
 	return f
 }
 
@@ -60,51 +57,7 @@ func NewFollower(set *replica.Set) *Follower {
 // shard-labeled registry first).
 func (f *Follower) EnableMetrics(regs ...*obs.Registry) { f.metricsRegs = regs }
 
-// ServeHTTP implements http.Handler with the same protective middleware
-// as the full server: size-capped bodies, panic recovery.
-func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sw := &statusWriter{ResponseWriter: w}
-	defer func() {
-		if rec := recover(); rec != nil {
-			f.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-			if !sw.wrote {
-				f.httpError(sw, http.StatusInternalServerError, errors.New("internal server error"))
-			}
-		}
-	}()
-	if r.Body != nil {
-		max := f.MaxBodyBytes
-		if max <= 0 {
-			max = DefaultMaxBodyBytes
-		}
-		r.Body = http.MaxBytesReader(sw, r.Body, max)
-	}
-	f.mux.ServeHTTP(sw, r)
-}
-
-func (f *Follower) method(verb string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != verb {
-			w.Header().Set("Allow", verb)
-			f.httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s required", verb))
-			return
-		}
-		h(w, r)
-	}
-}
-
 func (f *Follower) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		f.httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return
-	}
-	if len(req.Vector) == 0 {
-		f.httpError(w, http.StatusBadRequest, errors.New("vector is required"))
-		return
-	}
 	dim := f.set.Dim()
 	if dim == 0 {
 		// No shard has bootstrapped: there is nothing to validate against,
@@ -112,40 +65,16 @@ func (f *Follower) handleSearch(w http.ResponseWriter, r *http.Request) {
 		f.httpError(w, http.StatusServiceUnavailable, errors.New("replica not bootstrapped yet"))
 		return
 	}
-	if len(req.Vector) != dim {
-		f.httpError(w, http.StatusBadRequest,
-			fmt.Errorf("vector dim %d != index dim %d", len(req.Vector), dim))
+	req, k, ef, ok := f.decodeSearch(w, r, dim, f.set.Len())
+	if !ok {
 		return
 	}
-	k := f.DefaultK
-	if req.K != nil {
-		if *req.K <= 0 {
-			f.httpError(w, http.StatusBadRequest, fmt.Errorf("k must be at least 1, got %d", *req.K))
-			return
-		}
-		k = *req.K
-	}
-	ef := f.DefaultEF
-	if ef < k {
-		ef = k
-	}
-	if req.EF != nil {
-		if *req.EF < k {
-			f.httpError(w, http.StatusBadRequest, fmt.Errorf("ef (%d) must be at least k (%d)", *req.EF, k))
-			return
-		}
-		ef = *req.EF
-	}
 	res, st := f.set.SearchCtx(r.Context(), req.Vector, k, ef)
-	resp := SearchResponse{
+	f.writeJSON(w, SearchResponse{
 		NDC: st.NDC, Truncated: st.Truncated,
 		EFUsed: ef, Stale: true,
-		Results: make([]SearchHit, len(res)),
-	}
-	for i, h := range res {
-		resp.Results[i] = SearchHit{ID: h.ID, Dist: h.Dist}
-	}
-	f.writeJSON(w, resp)
+		Results: searchHits(res),
+	})
 }
 
 // FollowerStatsResponse is the follower's /v1/stats reply: replication
@@ -164,11 +93,6 @@ func (f *Follower) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (f *Follower) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-}
-
 func (f *Follower) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for _, st := range f.set.Statuses() {
 		if !st.Ready {
@@ -183,35 +107,4 @@ func (f *Follower) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-func (f *Follower) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if len(f.metricsRegs) == 0 {
-		http.Error(w, "metrics not enabled", http.StatusNotFound)
-		return
-	}
-	obs.MergedHandler(f.metricsRegs...).ServeHTTP(w, r)
-}
-
-func (f *Follower) logf(format string, args ...interface{}) {
-	if f.Logger != nil {
-		f.Logger.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-func (f *Follower) writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		f.logf("server: encode %T response: %v", v, err)
-	}
-}
-
-func (f *Follower) httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if encErr := json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}); encErr != nil {
-		f.logf("server: encode %d error response: %v", code, encErr)
-	}
 }

@@ -125,19 +125,14 @@ func (s *Server) registerReshardMetrics(reg *obs.Registry) {
 		func() float64 { return float64(progress().CutoverMillis) / 1000 })
 }
 
-// handleMetrics serves the Prometheus exposition, or 404 when metrics
-// were not enabled (the route exists either way, so probes get a clean
-// answer instead of the mux's default).
+// handleMetrics serves the merged exposition of the server's registries
+// and, once metrics are enabled, the current per-shard ones.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if len(s.baseRegs) == 0 {
-		http.Error(w, "metrics not enabled", http.StatusNotFound)
-		return
-	}
 	regs := s.baseRegs
-	if p := s.shardRegs.Load(); p != nil {
+	if p := s.shardRegs.Load(); p != nil && len(regs) > 0 {
 		regs = append(append([]*obs.Registry(nil), regs...), *p...)
 	}
-	obs.MergedHandler(regs...).ServeHTTP(w, r)
+	s.serveMetrics(w, r, regs)
 }
 
 // observeSearch records one search's latency under its outcome. Nil-safe:

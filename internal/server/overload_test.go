@@ -44,7 +44,7 @@ func (w *blockingWAL) LogDelete(id uint32) error               { return nil }
 func (w *blockingWAL) LogFixEdges(u []graph.ExtraUpdate) error { return nil }
 func (w *blockingWAL) Snapshot(g *graph.Graph) error           { return nil }
 
-func waitForCond(t *testing.T, what string, cond func() bool) {
+func waitForCond(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -95,7 +95,7 @@ type replicatedServer struct {
 // hedging reads to those replicas, and the server exposing replication
 // endpoints, replica stats, and replica metrics. Shard 0's WAL can be
 // stalled or failed at will.
-func newReplicatedTestServer(t *testing.T, after time.Duration) *replicatedServer {
+func newReplicatedTestServer(t testing.TB, after time.Duration) *replicatedServer {
 	t.Helper()
 	d := dataset.Generate(dataset.Config{
 		Name: "repl", N: 400, NHist: 80, NTest: 20,
@@ -197,7 +197,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	// shard 0, where it blocks inside the WAL holding the write lock.
 	rs.wal0.stall.Store(true)
 	for i := 0; i < 2; i++ {
-		go rs.g.InsertChecked(rs.d.History.Row(i))
+		go rs.g.Insert(rs.d.History.Row(i))
 	}
 	select {
 	case <-rs.wal0.entered:
@@ -285,7 +285,7 @@ func TestReadyzCoveredByReplica(t *testing.T) {
 	// Trip shard 0's durability: the routed delete fails its journal
 	// append, marking the shard degraded. The replica still covers reads.
 	rs.wal0.fail.Store(true)
-	if _, err := rs.g.Fixer(0).DeleteChecked(0); err == nil {
+	if _, err := rs.g.Fixer(0).Delete(0); err == nil {
 		t.Fatal("delete with failing WAL did not surface the journal error")
 	}
 	code, body := readyz()

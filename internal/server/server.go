@@ -46,10 +46,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -89,14 +87,9 @@ type Server struct {
 	// raced the swap get shard.ErrResharding from the retired (forever
 	// paused) group and retry against the fresh pointer.
 	group atomic.Pointer[shard.Group]
-	mux   *http.ServeMux
-	// DefaultK / DefaultEF apply when a search request omits them.
-	DefaultK, DefaultEF int
-	// Logger receives malformed-response incidents and handler panics.
-	// Nil uses the process-default logger.
-	Logger *log.Logger
-	// MaxBodyBytes caps request bodies (DefaultMaxBodyBytes when 0).
-	MaxBodyBytes int64
+	// front carries the shared HTTP plumbing and the DefaultK,
+	// DefaultEF, Logger and MaxBodyBytes settings.
+	front
 	// SnapshotFunc backs POST /v1/snapshot; when nil the endpoint
 	// reports 501 Not Implemented.
 	SnapshotFunc func() error
@@ -183,7 +176,7 @@ func New(fixer *core.OnlineFixer) *Server {
 // not ready: call SetReady(true) once every shard is loaded/replayed
 // and the listener is up, so /readyz tells load balancers the truth.
 func NewSharded(group *shard.Group) *Server {
-	s := &Server{mux: http.NewServeMux(), DefaultK: 10, DefaultEF: 100}
+	s := &Server{front: newFront()}
 	s.group.Store(group)
 	// Search governs itself (its admission cost depends on the decoded
 	// ef); fixed-work endpoints go through the governed middleware.
@@ -284,59 +277,6 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	s.ready.Store(false)
-}
-
-// ServeHTTP implements http.Handler with the protective middleware:
-// request bodies are size-capped, and a panicking handler answers 500
-// instead of killing the process.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sw := &statusWriter{ResponseWriter: w}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-			if !sw.wrote {
-				s.httpError(sw, http.StatusInternalServerError, errors.New("internal server error"))
-			}
-		}
-	}()
-	if r.Body != nil {
-		max := s.MaxBodyBytes
-		if max <= 0 {
-			max = DefaultMaxBodyBytes
-		}
-		r.Body = http.MaxBytesReader(sw, r.Body, max)
-	}
-	s.mux.ServeHTTP(sw, r)
-}
-
-// statusWriter tracks whether a response has started, so panic recovery
-// knows if it can still write a clean 500.
-type statusWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// method enforces the HTTP verb, answering 405 with an Allow header
-// otherwise.
-func (s *Server) method(verb string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != verb {
-			w.Header().Set("Allow", verb)
-			s.httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s required", verb))
-			return
-		}
-		h(w, r)
-	}
 }
 
 // governed is the admission middleware for fixed-cost endpoints: acquire
@@ -662,17 +602,9 @@ type StatsResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req SearchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.checkVector(req.Vector); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	k, ef, err := s.searchParams(req)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+	group := s.grp()
+	req, k, ef, ok := s.decodeSearch(w, r, group.Dim(), group.Len())
+	if !ok {
 		return
 	}
 	requestedEF := ef
@@ -707,18 +639,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}) {
 			s.metrics.observeSlowQuery()
 		}
-		resp := SearchResponse{
+		s.writeJSON(w, SearchResponse{
 			NDC: int64(probeNDC), EFUsed: ef, Policy: policy.AttrCacheHit,
-			Results: make([]SearchHit, len(res)),
-		}
-		for i, h := range res {
-			resp.Results[i] = SearchHit{ID: h.ID, Dist: h.Dist}
-		}
-		s.writeJSON(w, resp)
+			Results: searchHits(res),
+		})
 		return
 	}
 
-	group := s.grp()
 	shards := group.Shards()
 	parallel := shards
 	clamped := false
@@ -795,46 +722,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp := SearchResponse{
 		NDC: st.NDC, ADC: st.ADCLookups, Truncated: st.Truncated,
 		EFUsed: ef, Clamped: clamped, Stale: stale,
-		Results: make([]SearchHit, len(res)),
+		Results: searchHits(res),
 	}
 	if policyAttr != policy.AttrNone {
 		resp.Policy = policyAttr
 	}
-	for i, h := range res {
-		resp.Results[i] = SearchHit{ID: h.ID, Dist: h.Dist}
-	}
 	s.writeJSON(w, resp)
-}
-
-// searchParams resolves and strictly validates k and ef. Omitted values
-// take the server defaults; explicit values must make sense — k ≥ 1,
-// ef ≥ k, and ef no larger than the graph itself (a bigger list cannot
-// improve recall, it only burns a bounded-capacity admission slot).
-func (s *Server) searchParams(req SearchRequest) (k, ef int, err error) {
-	k = s.DefaultK
-	if req.K != nil {
-		if *req.K <= 0 {
-			return 0, 0, fmt.Errorf("k must be at least 1, got %d", *req.K)
-		}
-		k = *req.K
-	}
-	ef = s.DefaultEF
-	if ef < k {
-		ef = k
-	}
-	if req.EF != nil {
-		if *req.EF <= 0 {
-			return 0, 0, fmt.Errorf("ef must be at least 1, got %d", *req.EF)
-		}
-		if *req.EF < k {
-			return 0, 0, fmt.Errorf("ef (%d) must be at least k (%d)", *req.EF, k)
-		}
-		if n := s.grp().Len(); n > 0 && *req.EF > n {
-			return 0, 0, fmt.Errorf("ef (%d) exceeds the graph size (%d vectors)", *req.EF, n)
-		}
-		ef = *req.EF
-	}
-	return k, ef, nil
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -842,14 +735,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if err := s.checkVector(req.Vector); err != nil {
+	if err := checkVector(req.Vector, s.grp().Dim()); err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var id uint32
 	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
 		var err error
-		id, err = g.InsertChecked(req.Vector)
+		id, err = g.Insert(req.Vector)
 		return err
 	})
 	if errors.Is(err, shard.ErrResharding) {
@@ -904,7 +797,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var deleted bool
 	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
 		var err error
-		deleted, err = g.DeleteChecked(req.ID)
+		deleted, err = g.Delete(req.ID)
 		return err
 	})
 	if errors.Is(err, shard.ErrResharding) {
@@ -927,7 +820,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 	var rep core.FixReport
 	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
 		var err error
-		rep, err = g.FixPendingChecked()
+		rep, err = g.FixPending()
 		return err
 	})
 	if errors.Is(err, shard.ErrResharding) {
@@ -947,8 +840,22 @@ func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	// Purge k/ef size the repair searches: they take the search bounds,
+	// with 0 keeping the index defaults.
+	n := s.grp().Len()
+	var err error
+	if req.K != 0 {
+		err = checkListSize("k", req.K, n)
+	}
+	if err == nil && req.EF != 0 {
+		err = checkListSize("ef", req.EF, n)
+	}
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	var rep core.PurgeReport
-	err := s.retryResharding(r.Context(), func(g *shard.Group) error {
+	err = s.retryResharding(r.Context(), func(g *shard.Group) error {
 		var err error
 		rep, err = g.PurgeAndRepair(req.K, req.EF)
 		return err
@@ -1130,11 +1037,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-}
-
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		msg := "index not ready"
@@ -1206,55 +1108,4 @@ func (s *Server) uncoveredShards(group *shard.Group, bad []int) []int {
 		}
 	}
 	return uncovered
-}
-
-func (s *Server) checkVector(v []float32) error {
-	if len(v) == 0 {
-		return fmt.Errorf("vector is required")
-	}
-	if dim := s.grp().Dim(); len(v) != dim {
-		return fmt.Errorf("vector dim %d != index dim %d", len(v), dim)
-	}
-	return nil
-}
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.Logger != nil {
-		s.Logger.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already on the wire; all that is left is making the
-		// incident visible to operators.
-		s.logf("server: encode %T response: %v", v, err)
-	}
-}
-
-func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if encErr := json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}); encErr != nil {
-		s.logf("server: encode %d error response: %v", code, encErr)
-	}
 }

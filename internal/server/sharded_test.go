@@ -213,7 +213,7 @@ func TestShardedReadyzNamesDegradedShard(t *testing.T) {
 
 	// Trip shard 1's durability with a routed mutation (the 500 marks
 	// the at-risk write); shard 0 stays healthy.
-	if changed, err := g.Fixer(1).DeleteChecked(0); err == nil || !changed {
+	if changed, err := g.Fixer(1).Delete(0); err == nil || !changed {
 		t.Fatalf("shard-1 delete: changed=%v err=%v, want journal failure", changed, err)
 	}
 

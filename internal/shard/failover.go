@@ -155,36 +155,46 @@ func (g *Group) searchShard(ctx context.Context, s int, q []float32, k, ef int) 
 // reports it. The query degrades in freshness, not availability — one
 // wedged shard no longer takes the whole index's reads down with it.
 func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, parallel int) ([]graph.Result, graph.Stats, bool) {
-	n := len(g.fixers)
-	if n == 1 {
-		if g.ReplicaFor(0) == nil {
-			// Fast path, bit-for-bit the unsharded search.
-			res, st := g.fixers[0].SearchCtx(ctx, q, k, ef)
-			return res, st, false
-		}
-		return g.searchShard(ctx, 0, q, k, ef) // one shard: local ids are global
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > n {
-		parallel = n
-	}
+	return g.router.Gather(ctx, k, parallel, func(s int) ([]graph.Result, graph.Stats, bool) {
+		return g.searchShard(ctx, s, q, k, ef)
+	})
+}
 
-	type staleHit struct {
+// Gather is the scatter-gather every multi-shard read runs: it calls
+// search for each of the router's shards, at most parallel at once, and
+// merges the answers into a global top-k. search returns one shard's
+// answer with shard-local ids and whether it is stale (served by a
+// replica); a shard that cannot answer returns no results with
+// Stats.Truncated set. Stats sum across shards (NDC, ADC lookups and
+// hops measure total work, which is what the cost model prices), and
+// stale is true when any shard's answer was.
+//
+// Cancellation is two-level: each per-shard search honors ctx on its own
+// (returning its best-so-far with Truncated set), and the gather stops
+// waiting for stragglers once ctx ends (nil never ends), merging
+// whatever shards have answered. With one shard, search runs inline and
+// its answer is returned as is: local ids are global.
+func (r Router) Gather(ctx context.Context, k, parallel int, search func(s int) ([]graph.Result, graph.Stats, bool)) ([]graph.Result, graph.Stats, bool) {
+	n := r.n
+	if n == 1 {
+		return search(0)
+	}
+	parallel = max(1, min(parallel, n))
+
+	type hit struct {
 		shard int
 		res   []graph.Result
 		st    graph.Stats
 		stale bool
 	}
 	sem := make(chan struct{}, parallel)
-	hits := make(chan staleHit, n) // buffered: stragglers never block after abandon
+	hits := make(chan hit, n) // buffered: stragglers never block after abandon
 	for s := 0; s < n; s++ {
 		go func(s int) {
 			sem <- struct{}{}
-			res, st, stale := g.searchShard(ctx, s, q, k, ef)
+			res, st, stale := search(s)
 			<-sem
-			hits <- staleHit{shard: s, res: res, st: st, stale: stale}
+			hits <- hit{shard: s, res: res, st: st, stale: stale}
 		}(s)
 	}
 
@@ -194,14 +204,14 @@ func (g *Group) SearchStale(ctx context.Context, q []float32, k, ef int, paralle
 		stale  bool
 	)
 	var done <-chan struct{}
-	if ctx != nil { // nil ctx never cancels, matching the fixer's contract
+	if ctx != nil {
 		done = ctx.Done()
 	}
 	for received := 0; received < n; received++ {
 		select {
 		case h := <-hits:
-			for _, r := range h.res {
-				merged = append(merged, graph.Result{ID: g.router.Global(h.shard, r.ID), Dist: r.Dist})
+			for _, res := range h.res {
+				merged = append(merged, graph.Result{ID: r.Global(h.shard, res.ID), Dist: res.Dist})
 			}
 			stats.NDC += h.st.NDC
 			stats.ADCLookups += h.st.ADCLookups

@@ -131,11 +131,11 @@ func TestHedgedFailoverFrozenWAL(t *testing.T) {
 	// Wedge shard 0: an insert blocks inside its WAL holding the write
 	// lock, so shard 0 searches block behind it.
 	for int(g.rr.Load())%2 != 0 {
-		if _, err := g.InsertChecked(d.History.Row(0)); err != nil {
+		if _, err := g.Insert(d.History.Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	go g.InsertChecked(d.History.Row(1))
+	go g.Insert(d.History.Row(1))
 	select {
 	case <-wal.entered:
 	case <-time.After(5 * time.Second):

@@ -184,63 +184,55 @@ func (g *Group) Pending() int {
 }
 
 // SearchCtx scatters the query to every shard and gathers a global
-// top-k. parallel bounds how many per-shard beams run at once — the
-// server passes the admission units the request was granted, so a
-// half-admitted search under pressure degrades to a narrower fan-out
-// instead of stealing CPU it did not pay for. Stats aggregate across
-// shards (NDC and hops sum; they measure total work, which is what the
-// cost model prices).
-//
-// Cancellation is two-level: each per-shard beam honors ctx on its own
-// (returning its best-so-far with Truncated set), and the gather loop
-// stops waiting for stragglers once ctx ends, merging whatever shards
-// have answered. Either way the caller gets a ranked partial answer
-// with Stats.Truncated reporting the quality loss.
+// top-k through Router.Gather. parallel bounds how many per-shard beams
+// run at once — the server passes the admission units the request was
+// granted, so a half-admitted search under pressure degrades to a
+// narrower fan-out instead of stealing CPU it did not pay for.
 func (g *Group) SearchCtx(ctx context.Context, q []float32, k, ef int, parallel int) ([]graph.Result, graph.Stats) {
 	res, st, _ := g.SearchStale(ctx, q, k, ef, parallel)
 	return res, st
 }
 
-// InsertChecked routes the vector to the next shard in round-robin
+// Insert routes the vector to the next shard in round-robin
 // order and returns its global id. The error (if any) is the owning
 // shard's journal-append failure, wrapped with the shard index; the
 // vector is live in memory either way.
-func (g *Group) InsertChecked(v []float32) (uint32, error) {
+func (g *Group) Insert(v []float32) (uint32, error) {
 	exit, err := g.enterMutation()
 	if err != nil {
 		return 0, err
 	}
 	defer exit()
 	s := int(g.rr.Add(1)-1) % len(g.fixers)
-	local, err := g.fixers[s].InsertChecked(v)
+	local, err := g.fixers[s].Insert(v)
 	if err != nil {
 		err = fmt.Errorf("shard %d: %w", s, err)
 	}
 	return g.router.Global(s, local), err
 }
 
-// DeleteChecked routes the tombstone to the shard owning id. An id whose
+// Delete routes the tombstone to the shard owning id. An id whose
 // local part is beyond the owning shard's length was never assigned:
 // core.ErrUnknownID, same as the single-fixer path.
-func (g *Group) DeleteChecked(id uint32) (bool, error) {
+func (g *Group) Delete(id uint32) (bool, error) {
 	exit, err := g.enterMutation()
 	if err != nil {
 		return false, err
 	}
 	defer exit()
 	s := g.router.ShardOf(id)
-	changed, err := g.fixers[s].DeleteChecked(g.router.Local(id))
+	changed, err := g.fixers[s].Delete(g.router.Local(id))
 	if err != nil && !errors.Is(err, core.ErrUnknownID) {
 		err = fmt.Errorf("shard %d: %w", s, err)
 	}
 	return changed, err
 }
 
-// FixPendingChecked drains every shard's recorded queries in parallel
+// FixPending drains every shard's recorded queries in parallel
 // and aggregates the reports. Per-shard durability errors are joined,
 // each wrapped with its shard index, so a background loop can log
 // exactly which shard's journal is failing.
-func (g *Group) FixPendingChecked() (core.FixReport, error) {
+func (g *Group) FixPending() (core.FixReport, error) {
 	exit, err := g.enterMutation()
 	if err != nil {
 		return core.FixReport{}, err
@@ -253,7 +245,7 @@ func (g *Group) FixPendingChecked() (core.FixReport, error) {
 		wg.Add(1)
 		go func(s int, f *core.OnlineFixer) {
 			defer wg.Done()
-			rep, err := f.FixPendingChecked()
+			rep, err := f.FixPending(0)
 			reps[s] = rep
 			if err != nil {
 				errs[s] = fmt.Errorf("shard %d: %w", s, err)

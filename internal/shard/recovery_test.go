@@ -43,13 +43,13 @@ func TestMixedGenerationRecovery(t *testing.T) {
 	// WAL tail — the mixed-generation shape.
 	var inserted []uint32
 	for i := 0; i < 6; i++ {
-		id, err := g.InsertChecked(d.History.Row(i))
+		id, err := g.Insert(d.History.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		inserted = append(inserted, id)
 	}
-	if changed, err := g.DeleteChecked(inserted[0]); err != nil || !changed {
+	if changed, err := g.Delete(inserted[0]); err != nil || !changed {
 		t.Fatalf("delete: changed=%v err=%v", changed, err)
 	}
 	if err := g.Fixer(0).Snapshot(); err != nil {
@@ -127,7 +127,7 @@ func TestMixedGenerationRecovery(t *testing.T) {
 	// mixed-generation recovery, even though shard lengths differ.
 	seen := map[uint32]bool{}
 	for i := 0; i < 6; i++ {
-		id, err := rg.InsertChecked(d.History.Row(10 + i))
+		id, err := rg.Insert(d.History.Row(10 + i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,14 +77,14 @@ func seedParents(t *testing.T, n, rows int) *parent {
 	// Mutations after the seal: children must stream the snapshot AND
 	// tail these from the WAL.
 	for i := rows; i < rows+2*n+3; i++ {
-		if _, err := g.InsertChecked(testVec(i)); err != nil {
+		if _, err := g.Insert(testVec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := g.DeleteChecked(uint32(1)); err != nil {
+	if _, err := g.Delete(uint32(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.DeleteChecked(uint32(rows + 2)); err != nil {
+	if _, err := g.Delete(uint32(rows + 2)); err != nil {
 		t.Fatal(err)
 	}
 	return &parent{root: root, stores: stores, group: g, lay: lay}
@@ -347,7 +347,7 @@ func TestReshardOnline2to4(t *testing.T) {
 			v := testVec(i)
 			for {
 				g := cur.Load()
-				id, err := g.InsertChecked(v)
+				id, err := g.Insert(v)
 				if err == nil {
 					mu.Lock()
 					live[id] = v
@@ -386,7 +386,7 @@ func TestReshardOnline2to4(t *testing.T) {
 	}
 	// The retired group stays paused: stragglers must retry, not mutate
 	// a dead topology.
-	if _, err := p.group.InsertChecked(testVec(0)); !errors.Is(err, shard.ErrResharding) {
+	if _, err := p.group.Insert(testVec(0)); !errors.Is(err, shard.ErrResharding) {
 		t.Fatalf("retired group insert = %v, want ErrResharding", err)
 	}
 	if quiesces.Load() == 0 || quiesces.Load() != resumes.Load() {

@@ -95,7 +95,7 @@ func TestGroupInsertDeleteRouting(t *testing.T) {
 	// partition established.
 	start := g.Len()
 	for i := 0; i < 7; i++ {
-		id, err := g.InsertChecked(d.Base.Row(i))
+		id, err := g.Insert(d.Base.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +109,13 @@ func TestGroupInsertDeleteRouting(t *testing.T) {
 
 	// Deletes route by id arithmetic; unknown ids are rejected exactly
 	// like the single-fixer path.
-	if changed, err := g.DeleteChecked(uint32(start)); err != nil || !changed {
+	if changed, err := g.Delete(uint32(start)); err != nil || !changed {
 		t.Fatalf("delete: changed=%v err=%v", changed, err)
 	}
-	if changed, err := g.DeleteChecked(uint32(start)); err != nil || changed {
+	if changed, err := g.Delete(uint32(start)); err != nil || changed {
 		t.Fatalf("double delete: changed=%v err=%v", changed, err)
 	}
-	if _, err := g.DeleteChecked(1 << 30); err == nil {
+	if _, err := g.Delete(1 << 30); err == nil {
 		t.Fatal("deleting an unassigned id did not error")
 	}
 
@@ -148,7 +148,7 @@ func TestGroupSearchRecordsAndFixes(t *testing.T) {
 	if p := g.Pending(); p != 4*12 {
 		t.Fatalf("pending %d, want %d", p, 4*12)
 	}
-	rep, err := g.FixPendingChecked()
+	rep, err := g.FixPending()
 	if err != nil {
 		t.Fatal(err)
 	}

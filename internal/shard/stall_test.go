@@ -62,13 +62,13 @@ func TestWALStallIndependence(t *testing.T) {
 	// goroutine blocks inside shard 0's WAL append, holding shard 0's
 	// write lock.
 	for int(g.rr.Load())%n != 0 {
-		if _, err := g.InsertChecked(d.History.Row(0)); err != nil {
+		if _, err := g.Insert(d.History.Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stalled := make(chan uint32, 1)
 	go func() {
-		id, _ := g.InsertChecked(d.History.Row(1))
+		id, _ := g.Insert(d.History.Row(1))
 		stalled <- id
 	}()
 	select {
@@ -85,7 +85,7 @@ func TestWALStallIndependence(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			start := time.Now()
-			if _, err := g.InsertChecked(d.History.Row(2 + i)); err != nil {
+			if _, err := g.Insert(d.History.Row(2 + i)); err != nil {
 				t.Errorf("insert during stall: %v", err)
 			}
 			doneOK <- time.Since(start)
