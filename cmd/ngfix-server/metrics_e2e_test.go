@@ -322,6 +322,7 @@ func TestMetricsPolicyFamilies(t *testing.T) {
 		`ngfix_policy_adaptive_ef_count{shard="all"}`,
 		`ngfix_policy_adaptive_recalibrations_total{shard="all"}`,
 		`ngfix_policy_adaptive_deferrals_total{shard="all"}`,
+		`ngfix_policy_adaptive_recal_skips_total{shard="all"}`,
 		`ngfix_policy_augment_injected_total{shard="all"}`,
 		`ngfix_policy_augment_rejected_total{shard="all"}`,
 	} {

@@ -67,8 +67,14 @@ type OnlineFixer struct {
 
 	totalFixed   int
 	totalBatches int
-	walErrs      int
-	lastWALErr   error
+
+	// walErrs counts durability failures; lastWALErr holds the most
+	// recent one until a snapshot succeeds (nil pointer otherwise).
+	// Written under pmu; atomics so health reads (Degraded, the
+	// durability half of Signals) never wait on mu, which a stalled WAL
+	// append holds — the failure /readyz exists to report.
+	walErrs    atomic.Int64
+	lastWALErr atomic.Pointer[error]
 
 	// snapSuspended pauses the automatic snapshot cadence (explicit
 	// Snapshot calls are unaffected). A live reshard sets it so the
@@ -115,6 +121,8 @@ type OnlineFixer struct {
 	// call back into the fixer.
 	mutationHook atomic.Value // of func()
 
+	// searchers survive mutations: ix.G is never reassigned and a
+	// searcher grows its visited set to the graph size on each search.
 	searchers sync.Pool
 }
 
@@ -380,10 +388,10 @@ func (o *OnlineFixer) OnlineStats() OnlineStats {
 		FixedQueries: o.totalFixed,
 		FixBatches:   o.totalBatches,
 		ShedQueries:  shed,
-		WALErrors:    o.walErrs,
+		WALErrors:    int(o.walErrs.Load()),
 	}
-	if o.lastWALErr != nil {
-		st.LastWALError = o.lastWALErr.Error()
+	if err := o.lastWALErr.Load(); err != nil {
+		st.LastWALError = (*err).Error()
 	}
 	return st
 }
@@ -417,25 +425,26 @@ type Signals struct {
 	Degraded  bool
 }
 
-// Signals returns the fixer's repair-trigger snapshot. The queue fields
-// and the batch/durability fields are read under different leaf locks,
-// so they may drift by one in-flight query relative to each other —
-// trigger inputs, not invariants.
+// Signals returns the fixer's repair-trigger snapshot. The queue fields,
+// the durability fields (atomics) and the batch fields are read
+// separately, so they may drift by one in-flight query or mutation
+// relative to each other — trigger inputs, not invariants.
 func (o *OnlineFixer) Signals() Signals {
 	o.qmu.Lock()
 	pending, shed := o.pending.Rows(), o.shed
 	o.qmu.Unlock()
+	sig := Signals{
+		Pending:   pending,
+		BatchCap:  o.batchSize,
+		Shed:      shed,
+		WALErrors: int(o.walErrs.Load()),
+		Degraded:  o.Degraded(),
+	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return Signals{
-		Pending:         pending,
-		BatchCap:        o.batchSize,
-		Shed:            shed,
-		UnreachableEWMA: o.unreachableEWMA,
-		Batches:         o.totalBatches,
-		WALErrors:       o.walErrs,
-		Degraded:        o.lastWALErr != nil,
-	}
+	sig.UnreachableEWMA = o.unreachableEWMA
+	sig.Batches = o.totalBatches
+	return sig
 }
 
 // Dim returns the index dimensionality. Dimensionality is immutable for
@@ -456,11 +465,10 @@ func (o *OnlineFixer) Len() int {
 // since. While degraded, mutations applied in memory may not survive a
 // crash; the serving layer reflects this on /readyz. A successful
 // snapshot (manual or on cadence) captures the full in-memory state and
-// clears the condition. Always false without a WAL.
+// clears the condition. Always false without a WAL. Lock-free, so it
+// answers even while a stalled WAL append holds the fixer's lock.
 func (o *OnlineFixer) Degraded() bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.lastWALErr != nil
+	return o.lastWALErr.Load() != nil
 }
 
 // ewmaAlpha weights the newest batch's unreachable-before rate in the
@@ -524,9 +532,6 @@ func (o *OnlineFixer) FixPending(max int) (FixReport, error) {
 			o.unreachableEWMA = ewmaAlpha*rate + (1-ewmaAlpha)*o.unreachableEWMA
 		}
 	}
-	// Graph structure changed: drop pooled searchers bound to stale sizes.
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
 	var err error
 	snap := false
 	if o.wal != nil {
@@ -566,8 +571,6 @@ func (o *OnlineFixer) Insert(v []float32) (uint32, error) {
 	// Encode against the frozen codebooks (training never reruns online)
 	// so the compressed view stays in step with the graph row it mirrors.
 	o.pqAppendLocked(v)
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
 	var err error
 	snap := false
 	if o.wal != nil {
@@ -630,10 +633,6 @@ func (o *OnlineFixer) PurgeAndRepair(k, efTruth int) PurgeReport {
 	o.mu.Lock()
 	rep := o.ix.PurgeAndRepair(k, efTruth)
 	o.nvec.Store(int64(o.ix.G.Len()))
-	// Purge keeps row ids stable (no compaction), so the PQ codes remain
-	// aligned with the graph; only the pooled searchers need refreshing.
-	o.searchers = sync.Pool{New: func() interface{} { return graph.NewSearcher(o.ix.G) }}
-	o.resetPQSearchersLocked()
 	o.mu.Unlock()
 	o.notifyMutation()
 	if o.wal != nil && rep.Purged > 0 {
@@ -673,11 +672,10 @@ func (o *OnlineFixer) snapshotHoldingPmu() error {
 	}
 	o.mu.Lock()
 	if err != nil {
-		o.walErrs++
-		o.lastWALErr = err
+		o.noteWALErr(err)
 	} else {
 		o.sinceBatches, o.sinceMuts = 0, 0
-		o.lastWALErr = nil
+		o.lastWALErr.Store(nil)
 	}
 	o.mu.Unlock()
 	return err
@@ -704,8 +702,8 @@ func (o *OnlineFixer) SuspendAutoSnapshots(v bool) {
 
 func (o *OnlineFixer) noteWALErr(err error) {
 	if err != nil {
-		o.walErrs++
-		o.lastWALErr = err
+		o.walErrs.Add(1)
+		o.lastWALErr.Store(&err)
 	}
 }
 

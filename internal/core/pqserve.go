@@ -234,15 +234,6 @@ func (o *OnlineFixer) pqAppendLocked(v []float32) {
 	ps.updateResident()
 }
 
-// resetPQSearchersLocked drops pooled fused searchers after a graph
-// mutation, mirroring the full-precision pool discipline.
-func (o *OnlineFixer) resetPQSearchersLocked() {
-	if o.pqs == nil {
-		return
-	}
-	o.pqs.searchers = sync.Pool{New: o.newPQSearcher}
-}
-
 // approxTruthLocked routes fix-batch preprocessing to the compressed
 // searchers when PQ serving is live, and to the full-precision
 // Index.ApproxTruth otherwise. Caller holds the read lock.

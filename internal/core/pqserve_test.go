@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ngfix/internal/bruteforce"
+	"ngfix/internal/graph"
 	"ngfix/internal/pq"
 	"ngfix/internal/vec"
 )
@@ -99,6 +100,69 @@ func TestPQInsertEncodesIncrementally(t *testing.T) {
 	res, _ := o.Search(v, 1, 40)
 	if len(res) == 0 || res[0].ID != id {
 		t.Fatalf("fused search did not find the inserted vector (got %+v, want id %d)", res, id)
+	}
+}
+
+// TestPooledSearchersSurviveInserts: mutations no longer reset the
+// searcher pools, so a searcher pooled before 100 inserts must answer
+// exactly as a fresh one after them, on the full-precision and the
+// fused PQ path — including queries near the inserted rows, which lie
+// beyond the graph size the old searchers were built at.
+func TestPooledSearchersSurviveInserts(t *testing.T) {
+	d, g := testWorkload(t)
+	plain := NewOnlineFixer(New(g.Clone(), Options{Rounds: []Round{{K: 10}}, LEx: 32}), OnlineConfig{})
+	fused := NewOnlineFixer(New(g, Options{Rounds: []Round{{K: 10}}, LEx: 32}), OnlineConfig{})
+	if err := fused.EnablePQ(PQConfig{KS: 32}); err != nil {
+		t.Fatal(err)
+	}
+	const k, ef = 10, 40
+	oldFull := plain.searchers.Get().(*graph.Searcher)
+	oldPQ := fused.pqs.searchers.Get().(*pq.GraphSearcher)
+	oldFull.Search(d.TestOOD.Row(0), k, ef)
+	oldPQ.Search(d.TestOOD.Row(0), k, ef)
+	n0 := plain.Len()
+
+	ins := d.MoreQueries(100, true, 5)
+	for i := 0; i < ins.Rows(); i++ {
+		if _, err := plain.Insert(ins.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fused.Insert(ins.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freshFull := graph.NewSearcher(plain.ix.G)
+	freshPQ := fused.newPQSearcher().(*pq.GraphSearcher)
+
+	same := func(path string, qi int, a, b []graph.Result) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s query %d: pooled %d results, fresh %d", path, qi, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s query %d rank %d: pooled %+v, fresh %+v", path, qi, i, a[i], b[i])
+			}
+		}
+	}
+	reachedNew := 0
+	for qi := 0; qi < ins.Rows(); qi++ {
+		q := ins.Row(qi)
+		a, _ := oldFull.Search(q, k, ef)
+		b, _ := freshFull.Search(q, k, ef)
+		same("full", qi, a, b)
+		a, _ = oldPQ.Search(q, k, ef)
+		b, _ = freshPQ.Search(q, k, ef)
+		same("pq", qi, a, b)
+		for _, r := range a {
+			if int(r.ID) >= n0 {
+				reachedNew++
+				break
+			}
+		}
+	}
+	if reachedNew == 0 {
+		t.Fatal("no search reached an inserted row")
 	}
 }
 

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -15,14 +16,15 @@ import (
 
 // AdaptiveConfig controls the serving-path adaptive-ef policy.
 type AdaptiveConfig struct {
-	// ReservoirSize is how many recent queries are kept as the
-	// calibration corpus (default 512).
+	// ReservoirSize is how many of the most recently recorded queries
+	// the ring keeps as the calibration corpus (default 512).
 	ReservoirSize int
-	// MinSamples is the reservoir depth required before the first
+	// MinSamples is the ring depth required before the first
 	// calibration (default ReservoirSize/4).
 	MinSamples int
-	// RecalEvery triggers a recalibration after this many recorded
-	// queries since the last one (default ReservoirSize).
+	// RecalEvery triggers a drift check (and, on drift, a
+	// recalibration) after this many recorded queries since the last
+	// check (default ReservoirSize).
 	RecalEvery int
 	// TargetRecall is the per-band recall calibration aims for against
 	// the wide-ef reference answer (default 0.95).
@@ -82,25 +84,74 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
+// The drift gate. Bands are cut equal-count, so on stationary traffic
+// each of B bands holds about p = 1/B of the ring. A band's share is
+// off from p by sampling noise of variance p(1-p)/rows from probing the
+// ring plus p(1-p)/(rows/2) from the thresholds having been cut on the
+// calibration half; driftTolerance allows driftSigmas standard
+// deviations of it (about 0.11 at the defaults, B=3 and 512 rows).
+// maxPassedChecks is the backstop: graph repair and churn change the ef
+// a band needs without moving the probe distances, so a policy is
+// refitted after this many passed checks in a row regardless.
+const (
+	driftSigmas     = 3
+	maxPassedChecks = 16
+)
+
+func driftTolerance(bands, rows int) float64 {
+	p := 1 / float64(bands)
+	return driftSigmas * math.Sqrt(3*p*(1-p)/float64(rows))
+}
+
 // calibrated pairs an immutable policy with a pool of probers over its
 // historical-query graph, so any number of request goroutines classify
 // queries concurrently. Swapped wholesale on recalibration.
 type calibrated struct {
 	pol     *core.AdaptiveEF
 	probers sync.Pool
+	// fullRing records that the policy was fitted on a full ring; one
+	// fitted on a partial ring is provisional and always refitted at
+	// the next check.
+	fullRing bool
+}
+
+// drifted probes every row of corpus through the policy and reports
+// whether some band's share is off from 1/B by more than driftTolerance.
+// Only a policy fitted on a full ring is checked, so the calibration
+// half it was cut on held corpus.Rows()/2 rows.
+func (c *calibrated) drifted(corpus *vec.Matrix) bool {
+	ths, _ := c.pol.Buckets()
+	counts := make([]int, len(ths)+1)
+	s := c.probers.Get().(*graph.Searcher)
+	for i := 0; i < corpus.Rows(); i++ {
+		d := c.pol.ProbeDistWith(s, corpus.Row(i))
+		// The band efForDist picks: the first threshold d does not exceed.
+		counts[sort.Search(len(ths), func(j int) bool { return d <= ths[j] })]++
+	}
+	c.probers.Put(s)
+	want := 1 / float64(len(counts))
+	tol := driftTolerance(len(counts), corpus.Rows())
+	for _, n := range counts {
+		if math.Abs(float64(n)/float64(corpus.Rows())-want) > tol {
+			return true
+		}
+	}
+	return false
 }
 
 // Adaptive picks a per-query ef by probing the query's distance to the
 // nearest recently-served query (the paper's §7 "Query Similarities"
 // observation: ef needed for a target recall tracks similarity to the
 // historical workload). It self-calibrates from live traffic: served
-// queries feed a reservoir; periodically the reservoir is split into
-// history and calibration halves, the history half is indexed with a
-// small HNSW, and each similarity band gets the smallest candidate ef
-// reaching the recall target against a wide-ef reference answer.
+// queries feed a ring of the most recent ReservoirSize; a calibration
+// splits the ring into history and calibration halves, indexes the
+// history half with a small HNSW, and gives each similarity band the
+// smallest candidate ef reaching the recall target against a wide-ef
+// reference answer. Refits are paid on drift, not on a clock (see
+// MaybeRecalibrate).
 //
 // EFFor is wait-free against recalibration (atomic policy pointer);
-// Record takes a small mutex around the reservoir only.
+// Record takes a small mutex around the ring only.
 type Adaptive struct {
 	cfg AdaptiveConfig
 
@@ -109,16 +160,22 @@ type Adaptive struct {
 	// calibration with TryAcquire instead).
 	search func(q []float32, k, ef int) []graph.Result
 
-	mu        sync.Mutex
-	reservoir *vec.Matrix
-	seen      int64 // lifetime recorded queries (reservoir-sampling basis)
-	sinceCal  int
-	rng       *rand.Rand
+	mu       sync.Mutex
+	ring     *vec.Matrix
+	next     int // ring row the next record overwrites once full
+	sinceCal int
+
+	// rng (the history/calibration split) and passed (drift checks
+	// passed in a row) are touched only by the one MaybeRecalibrate
+	// that holds calibrating.
+	rng    *rand.Rand
+	passed int
 
 	cur         atomic.Pointer[calibrated]
 	calibrating atomic.Bool
 	recals      atomic.Int64
 	deferrals   atomic.Int64
+	skips       atomic.Int64
 }
 
 // NewAdaptive builds the policy. dim is the query dimensionality;
@@ -127,10 +184,10 @@ type Adaptive struct {
 func NewAdaptive(dim int, cfg AdaptiveConfig, search func(q []float32, k, ef int) []graph.Result) *Adaptive {
 	c := cfg.withDefaults()
 	return &Adaptive{
-		cfg:       c,
-		search:    search,
-		reservoir: vec.NewMatrix(0, dim),
-		rng:       rand.New(rand.NewSource(c.Seed)),
+		cfg:    c,
+		search: search,
+		ring:   vec.NewMatrix(0, dim),
+		rng:    rand.New(rand.NewSource(c.Seed)),
 	}
 }
 
@@ -175,8 +232,17 @@ func (a *Adaptive) Recalibrations() (done, deferred int64) {
 	return a.recals.Load(), a.deferrals.Load()
 }
 
-// Record feeds one served query into the reservoir (uniform reservoir
-// sampling once full). It returns true when enough new traffic has
+// RecalSkips returns how many drift checks found the bands still
+// equal-count and skipped the recalibration.
+func (a *Adaptive) RecalSkips() int64 {
+	if a == nil {
+		return 0
+	}
+	return a.skips.Load()
+}
+
+// Record feeds one served query into the ring (overwriting the oldest
+// row once full). It returns true when enough new traffic has
 // accumulated that the caller should schedule MaybeRecalibrate.
 func (a *Adaptive) Record(q []float32) (wantRecal bool) {
 	if a == nil {
@@ -184,14 +250,14 @@ func (a *Adaptive) Record(q []float32) (wantRecal bool) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.seen++
-	if a.reservoir.Rows() < a.cfg.ReservoirSize {
-		a.reservoir.Append(q)
-	} else if j := a.rng.Int63n(a.seen); j < int64(a.cfg.ReservoirSize) {
-		copy(a.reservoir.Row(int(j)), q)
+	if a.ring.Rows() < a.cfg.ReservoirSize {
+		a.ring.Append(q)
+	} else {
+		copy(a.ring.Row(a.next), q)
+		a.next = (a.next + 1) % a.cfg.ReservoirSize
 	}
 	a.sinceCal++
-	if a.reservoir.Rows() < a.cfg.MinSamples {
+	if a.ring.Rows() < a.cfg.MinSamples {
 		return false
 	}
 	if a.cur.Load() == nil {
@@ -201,11 +267,15 @@ func (a *Adaptive) Record(q []float32) (wantRecal bool) {
 	return a.sinceCal >= a.cfg.RecalEvery && !a.calibrating.Load()
 }
 
-// MaybeRecalibrate runs one calibration pass if none is in flight.
-// acquire gates the background work on admission (nil means ungated);
-// when it returns ok=false the pass is deferred — counters note it and
-// the next Record past the threshold re-triggers. Intended to run on a
-// background goroutine; EFFor keeps serving the old policy throughout.
+// MaybeRecalibrate runs one drift check, and on drift one calibration
+// pass, if none is in flight. It reports whether a new policy was
+// installed. A policy fitted on a full ring is kept (the check counts a
+// skip) while its band shares hold and fewer than maxPassedChecks checks
+// have passed in a row. acquire gates the background work on admission
+// (nil means ungated); when it returns ok=false the pass is deferred —
+// counters note it and the next Record past the threshold re-triggers.
+// Intended to run on a background goroutine; EFFor keeps serving the
+// old policy throughout.
 func (a *Adaptive) MaybeRecalibrate(acquire func() (release func(), ok bool)) bool {
 	if a == nil || !a.calibrating.CompareAndSwap(false, true) {
 		return false
@@ -222,16 +292,23 @@ func (a *Adaptive) MaybeRecalibrate(acquire func() (release func(), ok bool)) bo
 	}
 
 	a.mu.Lock()
-	rows := a.reservoir.Rows()
+	rows := a.ring.Rows()
 	if rows < a.cfg.MinSamples {
 		a.mu.Unlock()
 		return false
 	}
-	corpus := a.reservoir.Clone()
+	corpus := a.ring.Clone()
 	a.sinceCal = 0
+	a.mu.Unlock()
+
+	if c := a.cur.Load(); c != nil && c.fullRing && a.passed < maxPassedChecks && !c.drifted(corpus) {
+		a.passed++
+		a.skips.Add(1)
+		return false
+	}
+
 	// Deterministic shuffle for the history/calibration split.
 	perm := a.rng.Perm(rows)
-	a.mu.Unlock()
 
 	half := rows / 2
 	hist := vec.NewMatrix(0, corpus.Dim())
@@ -248,10 +325,11 @@ func (a *Adaptive) MaybeRecalibrate(acquire func() (release func(), ok bool)) bo
 	if pol == nil {
 		return false
 	}
-	c := &calibrated{pol: pol}
+	c := &calibrated{pol: pol, fullRing: rows == a.cfg.ReservoirSize}
 	g := pol.HistGraph()
 	c.probers.New = func() interface{} { return graph.NewSearcher(g) }
 	a.cur.Store(c)
+	a.passed = 0
 	a.recals.Add(1)
 	return true
 }

@@ -100,9 +100,9 @@ func (e *Engine) ShapeEF(q []float32, requested int, explicit bool) (ef, probeND
 }
 
 // AfterSearch runs the post-answer policy work for one served query:
-// feeding the adaptive reservoir (kicking a background recalibration
-// when due) and rolling query augmentation. Returns whether the query
-// was augmented, for attribution.
+// feeding the adaptive ring (kicking a background drift check when due)
+// and rolling query augmentation. Returns whether the query was
+// augmented, for attribution.
 func (e *Engine) AfterSearch(q []float32) (augmented bool) {
 	if e == nil {
 		return false
@@ -151,6 +151,9 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 		reg.CounterFunc("ngfix_policy_adaptive_deferrals_total",
 			"Adaptive-ef recalibrations deferred because admission denied background units.",
 			func() float64 { return float64(a.deferrals.Load()) })
+		reg.CounterFunc("ngfix_policy_adaptive_recal_skips_total",
+			"Adaptive-ef drift checks that found the bands still equal-count and skipped recalibration.",
+			func() float64 { return float64(a.skips.Load()) })
 	}
 	if g := e.augmenter; g != nil {
 		reg.CounterFunc("ngfix_policy_augmented_queries_total",

@@ -244,6 +244,39 @@ func TestExpiredBudgetReturnsTruncatedPartial(t *testing.T) {
 	}
 }
 
+// TestReadyzDuringWALStall: readiness reads the durability state from
+// atomics, so /readyz answers promptly while a stalled insert holds the
+// shard's write lock across its WAL append.
+func TestReadyzDuringWALStall(t *testing.T) {
+	wal := newBlockingWAL()
+	ts, _, d := newTestServerWAL(t, wal)
+	t.Cleanup(wal.unblock)
+	client := &http.Client{Timeout: 2 * time.Second}
+
+	go func() {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(InsertRequest{Vector: d.TestOOD.Row(0)})
+		if resp, err := client.Post(ts.URL+"/v1/insert", "application/json", &buf); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-wal.entered
+
+	start := time.Now()
+	resp, err := client.Get(ts.URL + "/readyz")
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("/readyz during the stall: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz during the stall: status %d", resp.StatusCode)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Fatalf("/readyz took %s during the stall, want under 100ms", elapsed)
+	}
+}
+
 // Mass client disconnect during a WAL stall: queued waiters must leave
 // the queue promptly (freeing their slots), the server must survive, and
 // every goroutine must drain once the stall clears.

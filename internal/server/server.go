@@ -491,6 +491,9 @@ type PolicyAdaptiveStats struct {
 	EFs            []int     `json:"efs,omitempty"`
 	Recalibrations int64     `json:"recalibrations"`
 	RecalDeferrals int64     `json:"recalDeferrals"`
+	// RecalSkips counts drift checks that found the bands still
+	// equal-count and kept the installed policy.
+	RecalSkips int64 `json:"recalSkips"`
 }
 
 // PolicyAugmentStats is the augmentation slice of the policy block.
@@ -981,6 +984,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			pol.Adaptive = &PolicyAdaptiveStats{
 				Ready: a.Ready(), Thresholds: ths, EFs: efs,
 				Recalibrations: recals, RecalDeferrals: deferred,
+				RecalSkips: a.RecalSkips(),
 			}
 		}
 		if g := eng.Augmenter(); g != nil {
